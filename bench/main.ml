@@ -203,34 +203,31 @@ let print_row label cells =
 (* ------------------------------------------------------------------ *)
 (* Tables 1-4: TermJoin and the baselines *)
 
-let term_methods ~mode ~enhanced ctx terms =
-  let tj_run variant ~emit () =
-    Access.Term_join.run ~variant ~mode ctx ~terms ~emit ()
-  in
-  let base =
-    [
-      ("Comp1", fun ~emit () -> Access.Composite.comp1 ~mode ctx ~terms ~emit ());
-      ("Comp2", fun ~emit () -> Access.Composite.comp2 ~mode ctx ~terms ~emit ());
-      ("GenMeet", fun ~emit () -> Access.Gen_meet.run ~mode ctx ~terms ~emit ());
-      ("TermJoin", tj_run Access.Term_join.Plain);
-    ]
-  in
-  if enhanced then base @ [ ("Enhanced", tj_run Access.Term_join.Enhanced) ]
-  else base
+let term_methods ~enhanced =
+  [
+    ("Comp1", Access.Pattern_exec.Comp1);
+    ("Comp2", Access.Pattern_exec.Comp2);
+    ("GenMeet", Access.Pattern_exec.Gen_meet { use_skips = true });
+    ("TermJoin", Access.Pattern_exec.Term_join Access.Term_join.Plain);
+  ]
+  @
+  if enhanced then
+    [ ("Enhanced", Access.Pattern_exec.Term_join Access.Term_join.Enhanced) ]
+  else []
 
 let run_term_table ~name ~title ~mode ~enhanced ctx rows =
   let pager = Store.Element_store.pager ctx.Access.Ctx.elements in
-  print_header title (List.map fst (term_methods ~mode ~enhanced ctx [ "x" ]));
+  let methods = term_methods ~enhanced in
+  print_header title (List.map fst methods);
   List.iter
     (fun (label, terms) ->
-      let methods = term_methods ~mode ~enhanced ctx terms in
       let cells =
         List.map
-          (fun (mname, run) ->
+          (fun (mname, access) ->
             measure
               ~record:(Printf.sprintf "%s/%s/%s" name label mname)
               pager
-              (fun () -> count_emitted run))
+              (fun () -> Exec.Par.run ~mode access ctx ~terms ~emit:ignore))
           methods
       in
       print_row label cells)
@@ -281,7 +278,12 @@ let table5 ctx =
   List.iteri
     (fun i (f1, f2, _) ->
       let phrase = [ pool_term f1; pool_term f2 ] in
-      let result_size = List.length (Access.Phrase_finder.to_list ctx ~phrase) in
+      let result_size =
+        List.length
+          (fst
+             (Exec.Par.scored_phrase ~limits:Core.Governor.unlimited
+                ~comp3:false ~parallelism:1 ctx ~phrase))
+      in
       let comp3 =
         measure
           ~record:(Printf.sprintf "table5/q%d/Comp3" (i + 1))
@@ -382,15 +384,13 @@ let skips ctx =
         ());
   pair "genmeet/within"
     (fun () ->
-      count_emitted (fun ~emit () ->
-          Access.Gen_meet.run ~within ~use_skips:false ctx
-            ~terms:[ qa 10000; qb 10000 ]
-            ~emit ()))
+      Exec.Par.run ~within
+        (Access.Pattern_exec.Gen_meet { use_skips = false })
+        ctx ~terms:[ qa 10000; qb 10000 ] ~emit:ignore)
     (fun () ->
-      count_emitted (fun ~emit () ->
-          Access.Gen_meet.run ~within ctx
-            ~terms:[ qa 10000; qb 10000 ]
-            ~emit ()));
+      Exec.Par.run ~within
+        (Access.Pattern_exec.Gen_meet { use_skips = true })
+        ctx ~terms:[ qa 10000; qb 10000 ] ~emit:ignore);
   (* document Top-K with max-score pruning: one dominant frequent
      term, two rare ones that become non-essential immediately *)
   let topk_terms = [ pool_term 146477; qa 20; qb 100 ] in
@@ -445,23 +445,16 @@ let planner_bench db ctx =
     "speedup" "costed choice";
   List.iter
     (fun (name, terms) ->
-      (* the frequency-blind static rule: >= 2 terms -> Comp1 *)
-      let static_run () =
-        List.length (Access.Composite.comp1_list ~mode ctx ~terms)
-      in
-      let d = Query.Planner.choose ~stats ~index ~terms () in
-      let costed_run () =
+      let run access () =
         List.length
-          (match d.Query.Planner.access with
-          | Access.Pattern_exec.Term_join variant ->
-            Access.Term_join.to_list ~variant ~mode ctx ~terms
-          | Access.Pattern_exec.Gen_meet { use_skips } ->
-            Access.Gen_meet.to_list ~use_skips ~mode ctx ~terms
-          | Access.Pattern_exec.Comp1 ->
-            Access.Composite.comp1_list ~mode ctx ~terms
-          | Access.Pattern_exec.Comp2 ->
-            Access.Composite.comp2_list ~mode ctx ~terms)
+          (fst
+             (Exec.Par.scored ~mode ~limits:Core.Governor.unlimited ~access
+                ~parallelism:1 ctx ~terms))
       in
+      (* the frequency-blind static rule: >= 2 terms -> Comp1 *)
+      let static_run = run Access.Pattern_exec.Comp1 in
+      let d = Query.Planner.choose ~stats ~index ~terms () in
+      let costed_run = run d.Query.Planner.access in
       (* both plans must score the same element set *)
       let n_static = static_run () in
       let n_costed = costed_run () in
@@ -724,22 +717,28 @@ let parallel_bench ctx =
     (t1, t2, t4)
   in
   let complex = Access.Counter_scoring.Complex in
+  let tj = Access.Pattern_exec.Term_join Access.Term_join.Plain in
   let tj_terms = [ qa 10000; qb 10000 ] in
   ignore
     (row "termjoin"
        (fun () ->
-         count_emitted (fun ~emit () ->
-             Access.Term_join.run ~mode:complex ctx ~terms:tj_terms ~emit ()))
+         Exec.Par.run ~mode:complex tj ctx ~terms:tj_terms ~emit:ignore)
        (fun p ->
          List.length
-           (Exec.Par.term_join ~mode:complex ~parallelism:p ctx ~terms:tj_terms)));
+           (fst
+              (Exec.Par.scored ~mode:complex ~limits:Core.Governor.unlimited
+                 ~access:tj ~parallelism:p ctx ~terms:tj_terms))));
   let phrase = [ pool_term 121076; pool_term 44930 ] in
   ignore
     (row "phrase"
        (fun () ->
          count_emitted (fun ~emit () ->
              Access.Phrase_finder.run ctx ~phrase ~emit ()))
-       (fun p -> List.length (Exec.Par.phrase ~parallelism:p ctx ~phrase)));
+       (fun p ->
+         List.length
+           (fst
+              (Exec.Par.scored_phrase ~limits:Core.Governor.unlimited
+                 ~comp3:false ~parallelism:p ctx ~phrase))));
   let r_terms = [ pool_term 146477; pool_term 121076; qa 5500 ] in
   let t1, t2, t4 =
     row "ranked-k10"
@@ -853,15 +852,14 @@ let ablation () =
     let terms = [ qa 3000; qb 3000 ] in
     let comp2 =
       measure pager (fun () ->
-          count_emitted (fun ~emit () ->
-              Access.Composite.comp2 ~mode:Access.Counter_scoring.Complex ctx
-                ~terms ~emit ()))
+          Exec.Par.run ~mode:Access.Counter_scoring.Complex
+            Access.Pattern_exec.Comp2 ctx ~terms ~emit:ignore)
     in
     let tj =
       measure pager (fun () ->
-          count_emitted (fun ~emit () ->
-              Access.Term_join.run ~mode:Access.Counter_scoring.Complex ctx
-                ~terms ~emit ()))
+          Exec.Par.run ~mode:Access.Counter_scoring.Complex
+            (Access.Pattern_exec.Term_join Access.Term_join.Plain)
+            ctx ~terms ~emit:ignore)
     in
     (comp2, tj)
   in
@@ -1479,6 +1477,7 @@ let micro ctx =
   let open Bechamel in
   let terms = [ qa 1000; qb 1000 ] in
   let complex = Access.Counter_scoring.Complex in
+  let tj = Access.Pattern_exec.Term_join Access.Term_join.Plain in
   let quiet f () = count_emitted f in
   let pick_tree = synthetic_scored_tree 5000 in
   let crit = Core.Op_pick.pick_foo ~threshold:1.0 () in
@@ -1487,25 +1486,27 @@ let micro ctx =
       [
         Test.make ~name:"table1/termjoin-simple"
           (Staged.stage
-             (quiet (fun ~emit () -> Access.Term_join.run ctx ~terms ~emit ())));
+             (fun () -> Exec.Par.run tj ctx ~terms ~emit:ignore));
         Test.make ~name:"table2/termjoin-complex"
           (Staged.stage
-             (quiet (fun ~emit () ->
-                  Access.Term_join.run ~mode:complex ctx ~terms ~emit ())));
+             (fun () -> Exec.Par.run ~mode:complex tj ctx ~terms ~emit:ignore));
         Test.make ~name:"table2/enhanced-complex"
           (Staged.stage
-             (quiet (fun ~emit () ->
-                  Access.Term_join.run ~variant:Access.Term_join.Enhanced
-                    ~mode:complex ctx ~terms ~emit ())));
+             (fun () ->
+               Exec.Par.run ~mode:complex
+                 (Access.Pattern_exec.Term_join Access.Term_join.Enhanced)
+                 ctx ~terms ~emit:ignore));
         Test.make ~name:"table2/genmeet-complex"
           (Staged.stage
-             (quiet (fun ~emit () ->
-                  Access.Gen_meet.run ~mode:complex ctx ~terms ~emit ())));
+             (fun () ->
+               Exec.Par.run ~mode:complex
+                 (Access.Pattern_exec.Gen_meet { use_skips = true })
+                 ctx ~terms ~emit:ignore));
         Test.make ~name:"table4/termjoin-4terms"
           (Staged.stage
-             (quiet (fun ~emit () ->
-                  Access.Term_join.run ~mode:complex ctx
-                    ~terms:(List.init 4 t4_term) ~emit ())));
+             (fun () ->
+               Exec.Par.run ~mode:complex tj ctx ~terms:(List.init 4 t4_term)
+                 ~emit:ignore));
         Test.make ~name:"table5/phrasefinder"
           (Staged.stage
              (quiet (fun ~emit () ->

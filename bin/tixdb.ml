@@ -110,28 +110,6 @@ let limits_term =
   in
   Term.(const mk $ timeout_arg $ max_steps_arg $ max_results_arg)
 
-(* Run [f] under a fresh governor; afterwards charge the produced
-   cardinality and sample the deadline, so even access methods that
-   are not internally governed report budget breaches uniformly. *)
-let governed limits f =
-  let gov = Core.Governor.start limits in
-  let results = f () in
-  let n = List.length results in
-  Core.Governor.tick_n gov n;
-  Core.Governor.check_results gov n;
-  Core.Governor.check_deadline gov;
-  results
-
-(* Parallel variant: one shared budget across every domain of the
-   fan-out, settled (and the deadline sampled) once the merge is
-   done, so --max-steps bounds the whole query, not one chunk. *)
-let governed_parallel limits f =
-  let sh = Core.Governor.make_shared limits in
-  let results = f sh in
-  Core.Governor.shared_check_results sh (List.length results);
-  Core.Governor.shared_check_deadline sh;
-  results
-
 let parallel_arg =
   Arg.(
     value & opt int 1
@@ -314,14 +292,9 @@ let query_cmd =
 
 let method_conv =
   Arg.enum
-    [
-      ("termjoin", `Termjoin);
-      ("enhanced", `Enhanced);
-      ("genmeet", `Genmeet);
-      ("comp1", `Comp1);
-      ("comp2", `Comp2);
-      ("auto", `Auto);
-    ]
+    (List.map
+       (fun m -> (Service.Engine.search_method_to_string m, m))
+       Service.Engine.search_methods)
 
 let search_cmd =
   let run paths terms method_ complex top trace parallel skip_bad limits =
@@ -333,67 +306,27 @@ let search_cmd =
       else Access.Counter_scoring.Simple
     in
     let tracer = if trace then Core.Trace.make () else Core.Trace.disabled in
-    (* auto resolves to a concrete method up front so the dispatch
-       below stays a closed enumeration *)
-    let method_, parallel =
-      match method_ with
-      | `Auto ->
+    let access, parallel =
+      match Service.Engine.search_access method_ with
+      | Some access -> (access, parallel)
+      | None ->
         let d =
           Query.Planner.choose ~parallelism:parallel
             ~stats:(Store.Db.collection_stats db)
             ~index:(Store.Db.index db) ~terms ()
         in
         Format.printf "planner: %s@." (Query.Planner.to_string d);
-        let m =
-          match d.Query.Planner.access with
-          | Access.Pattern_exec.Term_join Access.Term_join.Plain -> `Termjoin
-          | Access.Pattern_exec.Term_join Access.Term_join.Enhanced -> `Enhanced
-          | Access.Pattern_exec.Gen_meet _ -> `Genmeet
-          | Access.Pattern_exec.Comp1 -> `Comp1
-          | Access.Pattern_exec.Comp2 -> `Comp2
-        in
-        (m, d.Query.Planner.parallelism)
-      | (`Termjoin | `Enhanced | `Genmeet | `Comp1 | `Comp2) as m ->
-        (m, parallel)
+        (d.Query.Planner.access, d.Query.Planner.parallelism)
     in
-    (* the composite baselines have no range-restricted form; they
-       always run sequentially *)
-    let parallel =
-      match method_ with
-      | `Comp1 | `Comp2 ->
-        if parallel > 1 then
-          Format.eprintf "note: %s runs sequentially; --parallel ignored@."
-            (match method_ with `Comp1 -> "comp1" | _ -> "comp2");
-        1
-      | _ -> parallel
-    in
+    if Exec.Par.degree ~anchored:false access ~parallelism:parallel < parallel
+    then
+      Format.eprintf "note: %s runs sequentially; --parallel ignored@."
+        (Exec.Par.wire_name access);
     let started = Unix.gettimeofday () in
-    let results =
+    let results, _steps =
       or_fault_exit (fun () ->
-          if parallel > 1 then
-            governed_parallel limits (fun shared ->
-                match method_ with
-                | `Termjoin ->
-                  Exec.Par.term_join ~trace:tracer ~shared ~mode
-                    ~parallelism:parallel ctx ~terms
-                | `Enhanced ->
-                  Exec.Par.term_join ~trace:tracer ~shared
-                    ~variant:Access.Term_join.Enhanced ~mode
-                    ~parallelism:parallel ctx ~terms
-                | `Genmeet ->
-                  Exec.Par.gen_meet ~trace:tracer ~shared ~mode
-                    ~parallelism:parallel ctx ~terms
-                | `Comp1 | `Comp2 -> assert false)
-          else
-            governed limits (fun () ->
-                match method_ with
-                | `Termjoin -> Access.Term_join.to_list ~trace:tracer ~mode ctx ~terms
-                | `Enhanced ->
-                  Access.Term_join.to_list ~trace:tracer
-                    ~variant:Access.Term_join.Enhanced ~mode ctx ~terms
-                | `Genmeet -> Access.Gen_meet.to_list ~trace:tracer ~mode ctx ~terms
-                | `Comp1 -> Access.Composite.comp1_list ~trace:tracer ~mode ctx ~terms
-                | `Comp2 -> Access.Composite.comp2_list ~trace:tracer ~mode ctx ~terms))
+          Exec.Par.scored ~trace:tracer ~mode ~limits ~access
+            ~parallelism:parallel ctx ~terms)
     in
     let elapsed = Unix.gettimeofday () -. started in
     let ranked = List.sort Access.Scored_node.compare_score_desc results in
@@ -424,7 +357,7 @@ let search_cmd =
   in
   let method_arg =
     Arg.(
-      value & opt method_conv `Termjoin
+      value & opt method_conv Service.Engine.Termjoin
       & info [ "m"; "method" ] ~docv:"METHOD"
           ~doc:
             "Access method: termjoin, enhanced, genmeet, comp1, comp2, or \
@@ -458,20 +391,13 @@ let phrase_cmd =
     let ctx = Access.Ctx.of_db db in
     let phrase = Ir.Phrase.parse phrase in
     let tracer = if trace then Core.Trace.make () else Core.Trace.disabled in
-    if use_comp3 && parallel > 1 then
-      Format.eprintf "note: comp3 runs sequentially; --parallel ignored@.";
+    if Exec.Par.phrase_degree ~comp3:use_comp3 ~parallelism:parallel < parallel
+    then Format.eprintf "note: comp3 runs sequentially; --parallel ignored@.";
     let started = Unix.gettimeofday () in
-    let results =
+    let results, _steps =
       or_fault_exit (fun () ->
-          if parallel > 1 && not use_comp3 then
-            governed_parallel limits (fun shared ->
-                Exec.Par.phrase ~trace:tracer ~shared ~parallelism:parallel
-                  ctx ~phrase)
-          else
-            governed limits (fun () ->
-                if use_comp3 then
-                  Access.Composite.comp3_list ~trace:tracer ctx ~phrase
-                else Access.Phrase_finder.to_list ~trace:tracer ctx ~phrase))
+          Exec.Par.scored_phrase ~trace:tracer ~limits ~comp3:use_comp3
+            ~parallelism:parallel ctx ~phrase)
     in
     let elapsed = Unix.gettimeofday () -. started in
     List.iter
@@ -737,15 +663,6 @@ let client_cmd =
               let terms =
                 String.split_on_char ',' terms |> List.map String.trim
               in
-              let method_ =
-                match method_ with
-                | `Termjoin -> Service.Engine.Termjoin
-                | `Enhanced -> Service.Engine.Enhanced
-                | `Genmeet -> Service.Engine.Genmeet
-                | `Comp1 -> Service.Engine.Comp1
-                | `Comp2 -> Service.Engine.Comp2
-                | `Auto -> Service.Engine.Auto
-              in
               Service.Protocol.Exec
                 {
                   req = Service.Engine.Search { terms; method_; complex; anchor };
@@ -856,7 +773,7 @@ let client_cmd =
   in
   let method_arg =
     Arg.(
-      value & opt method_conv `Termjoin
+      value & opt method_conv Service.Engine.Termjoin
       & info [ "m"; "method" ] ~docv:"METHOD" ~doc:"Search access method.")
   in
   let complex_arg =

@@ -40,8 +40,10 @@ let () =
 
   (* score components with TermJoin, restricted to those articles *)
   let started = Unix.gettimeofday () in
-  let scored =
-    Access.Pattern_exec.scored_matches ctx pattern ~struct_var:1
+  let scored, _steps =
+    Exec.Par.scored ~anchors:articles ~limits:Core.Governor.unlimited
+      ~access:(Access.Pattern_exec.Term_join Access.Term_join.Plain)
+      ~parallelism:1 ctx
       ~terms:[ "distributed"; "consensus" ]
   in
   Format.printf "scored components inside them: %d (%.1f ms)@.@."

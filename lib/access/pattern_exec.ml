@@ -213,27 +213,13 @@ let access_to_string = function
   | Comp1 -> "comp1"
   | Comp2 -> "comp2"
 
-let scored_matches ?(trace = Core.Trace.disabled) ?mode ?weights
-    ?(access = Term_join Term_join.Plain) ctx (pat : Core.Pattern.t)
-    ~struct_var ~terms =
-  let anchors =
-    Core.Trace.span_list trace "PatternMatch" (fun () ->
-        matches ctx pat ~var:struct_var)
-  in
+let anchored anchors score =
+  (* scope the score to the disjoint anchor subtrees: only nodes
+     inside an anchor can survive the semi-join below *)
   let scored =
-    match access with
-    | Term_join variant -> Term_join.to_list ~trace ~variant ?mode ?weights ctx ~terms
-    | Gen_meet { use_skips } ->
-      (* scope the meet to the disjoint anchor subtrees: only
-         occurrences inside an anchor can survive the semi-join
-         below, so nothing outside them needs grouping, and the
-         posting cursors skip across the gaps *)
-      let within =
-        Structural_join.outermost (Array.of_list (List.map to_sj anchors))
-      in
-      Gen_meet.to_list ~trace ?mode ?weights ~within ~use_skips ctx ~terms
-    | Comp1 -> Composite.comp1_list ~trace ?mode ?weights ctx ~terms
-    | Comp2 -> Composite.comp2_list ~trace ?mode ?weights ctx ~terms
+    score
+      ~within:
+        (Structural_join.outermost (Array.of_list (List.map to_sj anchors)))
   in
   (* keep scored nodes that are the anchor or lie inside one *)
   let as_items =

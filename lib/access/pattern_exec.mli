@@ -45,22 +45,12 @@ val access_operator : access -> string
 val access_to_string : access -> string
 (** Stable lower-case rendering for plan descriptions and logs. *)
 
-val scored_matches :
-  ?trace:Core.Trace.t ->
-  ?mode:Counter_scoring.mode ->
-  ?weights:float array ->
-  ?access:access ->
-  Ctx.t ->
-  Core.Pattern.t ->
-  struct_var:int ->
-  terms:string list ->
+val anchored :
+  Store.Tag_index.item list ->
+  (within:Structural_join.item array -> Scored_node.t list) ->
   Scored_node.t list
-(** The access-method pipeline of the paper's Query 2: evaluate the
-    structural pattern, score elements with the chosen [access]
-    method (default plain TermJoin), and keep the scored elements
-    lying inside (or equal to) a match of [struct_var] — the ad*
-    relationship between the structural anchor and the scored
-    component. Every [access] yields the identical result set;
-    [Gen_meet] additionally scopes its grouping to the anchor
-    subtrees, so its cost tracks the anchors' occupancy rather than
-    the whole collection. Document order. *)
+(** The ad* step of the paper's Query 2: [score] runs with [within]
+    = the outermost [anchors] (a scoped GenMeet groups only inside
+    them), and only the scored nodes that are an anchor or lie inside
+    one are kept, in [score]'s order. [anchors] in document order, as
+    {!matches} returns them. *)

@@ -1,9 +1,13 @@
-(* Intra-query parallel execution.
+(* Access-method dispatch and intra-query parallel execution.
 
-   One query is split into document-range chunks ({!Partition.plan}),
-   each chunk runs a range-restricted instance of the access method on
-   its own domain against the shared immutable snapshot, and the
-   per-chunk results are merged deterministically:
+   Every caller that runs an access method comes through here, so the
+   method table ([emit_nodes], [emit_phrase]), the rule for which
+   methods partition, and the budget policy exist once.
+
+   A partitioned query is split into document-range chunks
+   ({!Partition.plan}), each chunk runs a range-restricted instance of
+   the access method on its own domain against the shared immutable
+   snapshot, and the per-chunk results are merged deterministically:
 
    - boolean/structural results (TermJoin, GenMeet, PhraseFinder) come
      back per chunk in document order over disjoint ascending ranges,
@@ -97,69 +101,77 @@ let fan_out ~trace ~shared ~parallelism ~method_ ~ranges ~body ~merge =
   end;
   result
 
-let ticker gov =
-  match gov with
-  | Some g -> fun () -> Core.Governor.tick g
-  | None -> fun () -> ()
+(* ------------------------------------------------------------------ *)
+(* Access-method dispatch: the one table from a method to its
+   implementation. [doc_range] is passed only by the partitioned
+   form, and only for methods whose [degree] can exceed 1; [within]
+   scopes GenMeet to anchor subtrees and is ignored by the others. *)
 
-(* Per-chunk results are document-sorted over disjoint ascending
-   ranges: concatenation in chunk order IS the global document order.
-   Both merge rules live in Core.Merge, shared with the distributed
+let emit_nodes ?(trace = Core.Trace.disabled) ?mode ?weights ?within ?doc_range
+    (access : Access.Pattern_exec.access) ctx ~terms ~emit =
+  match access with
+  | Term_join variant ->
+    Access.Term_join.run ~trace ~variant ?mode ?weights ?doc_range ctx ~terms
+      ~emit ()
+  | Gen_meet { use_skips } ->
+    Access.Gen_meet.run ~trace ?mode ?weights ?within ~use_skips ?doc_range ctx
+      ~terms ~emit ()
+  | Comp1 -> Access.Composite.comp1 ~trace ?mode ?weights ctx ~terms ~emit ()
+  | Comp2 -> Access.Composite.comp2 ~trace ?mode ?weights ctx ~terms ~emit ()
+
+let emit_phrase ?(trace = Core.Trace.disabled) ?doc_range ~comp3 ctx ~phrase
+    ~emit =
+  if comp3 then Access.Composite.comp3 ~trace ctx ~phrase ~emit ()
+  else Access.Phrase_finder.run ~trace ?doc_range ctx ~phrase ~emit ()
+
+let wire_name : Access.Pattern_exec.access -> string = function
+  | Term_join Plain -> "termjoin"
+  | Term_join Enhanced -> "enhanced"
+  | Gen_meet _ -> "genmeet"
+  | Comp1 -> "comp1"
+  | Comp2 -> "comp2"
+
+let run ?trace ?mode ?weights ?within access ctx ~terms ~emit =
+  emit_nodes ?trace ?mode ?weights ?within access ctx ~terms ~emit
+
+(* document order, like each [to_list]; a chunk ticks per node *)
+let collect ?gov run =
+  let acc = ref [] in
+  let _ : int =
+    run ~emit:(fun nd ->
+        Option.iter Core.Governor.tick gov;
+        acc := nd :: !acc)
+  in
+  List.sort Access.Scored_node.compare_pos !acc
+
+(* The one chunk body every partitioned method shares. Per-chunk
+   results are document-sorted over disjoint ascending ranges:
+   concatenation in chunk order IS the global document order. Both
+   merge rules live in Core.Merge, shared with the distributed
    coordinator so local and remote partitioning cannot diverge. *)
-let concat_in_order = Core.Merge.concat_in_order
+let partition ?(trace = Core.Trace.disabled) ~shared ?ranges ~parallelism
+    ~method_ ctx ~terms run =
+  fan_out ~trace ~shared ~parallelism ~method_
+    ~ranges:(resolve_ranges ?ranges ~parallelism ctx ~terms)
+    ~body:(fun ~gov ~trace doc_range -> collect ?gov (run ~trace ~doc_range))
+    ~merge:Core.Merge.concat_in_order
 
-let term_join ?(trace = Core.Trace.disabled) ?shared ?ranges ?variant ?mode
+let partitioned ?trace ?shared ?ranges ?mode ?weights ~parallelism access ctx
+    ~terms =
+  partition ?trace ~shared ?ranges ~parallelism
+    ~method_:(Access.Pattern_exec.access_operator access) ctx ~terms
+    (fun ~trace ~doc_range ->
+      emit_nodes ~trace ?mode ?weights ~doc_range access ctx ~terms)
+
+let term_join ?trace ?shared ?ranges ?(variant = Access.Term_join.Plain) ?mode
     ?weights ~parallelism ctx ~terms =
-  let ranges = resolve_ranges ?ranges ~parallelism ctx ~terms in
-  fan_out ~trace ~shared ~parallelism ~method_:"TermJoin" ~ranges
-    ~body:(fun ~gov ~trace (lo, hi) ->
-      let acc = ref [] in
-      let tick = ticker gov in
-      let _ =
-        Access.Term_join.run ~trace ?variant ?mode ?weights ~doc_range:(lo, hi)
-          ctx ~terms
-          ~emit:(fun nd ->
-            tick ();
-            acc := nd :: !acc)
-          ()
-      in
-      List.sort Access.Scored_node.compare_pos !acc)
-    ~merge:concat_in_order
+  partitioned ?trace ?shared ?ranges ?mode ?weights ~parallelism
+    (Term_join variant) ctx ~terms
 
-let gen_meet ?(trace = Core.Trace.disabled) ?shared ?ranges ?mode ?weights
-    ~parallelism ctx ~terms =
-  let ranges = resolve_ranges ?ranges ~parallelism ctx ~terms in
-  fan_out ~trace ~shared ~parallelism ~method_:"GenMeet" ~ranges
-    ~body:(fun ~gov ~trace (lo, hi) ->
-      let acc = ref [] in
-      let tick = ticker gov in
-      let _ =
-        Access.Gen_meet.run ~trace ?mode ?weights ~doc_range:(lo, hi) ctx
-          ~terms
-          ~emit:(fun nd ->
-            tick ();
-            acc := nd :: !acc)
-          ()
-      in
-      List.sort Access.Scored_node.compare_pos !acc)
-    ~merge:concat_in_order
-
-let phrase ?(trace = Core.Trace.disabled) ?shared ?ranges ~parallelism ctx
-    ~phrase =
-  let ranges = resolve_ranges ?ranges ~parallelism ctx ~terms:phrase in
-  fan_out ~trace ~shared ~parallelism ~method_:"PhraseFinder" ~ranges
-    ~body:(fun ~gov ~trace (lo, hi) ->
-      let acc = ref [] in
-      let tick = ticker gov in
-      let _ =
-        Access.Phrase_finder.run ~trace ~doc_range:(lo, hi) ctx ~phrase
-          ~emit:(fun nd ->
-            tick ();
-            acc := nd :: !acc)
-          ()
-      in
-      List.sort Access.Scored_node.compare_pos !acc)
-    ~merge:concat_in_order
+let phrase ?trace ?shared ?ranges ~parallelism ctx ~phrase =
+  partition ?trace ~shared ?ranges ~parallelism ~method_:"PhraseFinder" ctx
+    ~terms:phrase (fun ~trace ~doc_range ->
+      emit_phrase ~trace ~doc_range ~comp3:false ctx ~phrase)
 
 let top_k_docs ?(trace = Core.Trace.disabled) ?shared ?ranges ?weights ?theta
     ~parallelism ctx ~terms ~k =
@@ -180,3 +192,74 @@ let top_k_docs ?(trace = Core.Trace.disabled) ?shared ?ranges ?weights ?theta
       | None -> ());
       docs)
     ~merge:(Core.Merge.merge_ranked ~k)
+
+(* ------------------------------------------------------------------ *)
+(* Budget policy. A sequential method pays for its output cardinality
+   and samples the deadline once afterwards. A fan-out shares one
+   budget; its chunks tick as they emit, so the cardinality is already
+   accounted when the merge returns. *)
+
+let governed limits f =
+  let gov = Core.Governor.start limits in
+  let results = f () in
+  let n = List.length results in
+  Core.Governor.tick_n gov n;
+  Core.Governor.check_results gov n;
+  Core.Governor.check_deadline gov;
+  (results, Core.Governor.steps gov)
+
+let governed_parallel limits f =
+  let sh = Core.Governor.make_shared limits in
+  let results = f sh in
+  Core.Governor.shared_check_results sh (List.length results);
+  Core.Governor.shared_check_deadline sh;
+  (results, Core.Governor.shared_steps sh)
+
+(* The composite baselines materialize candidate sets and have no
+   range-restricted form; the anchor semi-join does not partition. *)
+let degree ~anchored (access : Access.Pattern_exec.access) ~parallelism =
+  match access with
+  | (Term_join _ | Gen_meet _) when not anchored -> max 1 parallelism
+  | Term_join _ | Gen_meet _ | Comp1 | Comp2 -> 1
+
+let phrase_degree ~comp3 ~parallelism = if comp3 then 1 else max 1 parallelism
+
+let scored ?(trace = Core.Trace.disabled) ?mode ?weights ?anchors ~limits
+    ~access ~parallelism ctx ~terms =
+  if degree ~anchored:(anchors <> None) access ~parallelism > 1 then
+    governed_parallel limits (fun shared ->
+        partitioned ~trace ~shared ?mode ?weights ~parallelism access ctx
+          ~terms)
+  else
+    governed limits (fun () ->
+        let run ?within () =
+          collect (emit_nodes ~trace ?mode ?weights ?within access ctx ~terms)
+        in
+        match anchors with
+        | None -> run ()
+        | Some anchors ->
+          Access.Pattern_exec.anchored anchors (fun ~within -> run ~within ()))
+
+let scored_phrase ?(trace = Core.Trace.disabled) ~limits ~comp3 ~parallelism
+    ctx ~phrase:words =
+  if phrase_degree ~comp3 ~parallelism > 1 then
+    governed_parallel limits (fun shared ->
+        phrase ~trace ~shared ~parallelism ctx ~phrase:words)
+  else
+    governed limits (fun () ->
+        collect (emit_phrase ~trace ~comp3 ctx ~phrase:words))
+
+let ranked ?(trace = Core.Trace.disabled) ?theta ~limits ~parallelism ctx ~terms
+    ~k =
+  if parallelism > 1 then
+    governed_parallel limits (fun shared ->
+        top_k_docs ~trace ~shared ?theta ~parallelism ctx ~terms ~k)
+  else
+    governed limits (fun () ->
+        (* a θ hint seeds the same shared threshold the parallel chunks
+           use; pruning against it is exact under the monotone-θ
+           invariant (Core.Merge) *)
+        let shared_threshold =
+          Option.map (fun seed -> Core.Merge.Theta.make ~seed ()) theta
+        in
+        Access.Ranked.top_k_docs ~trace ?shared_threshold ctx ~terms ~k)

@@ -324,10 +324,17 @@ let execute ?(limits = Core.Governor.unlimited)
       done;
       fun doc -> Hashtbl.mem matches doc
     in
+    let anchors =
+      Core.Trace.span_list trace "PatternMatch" (fun () ->
+          Access.Pattern_exec.matches ctx p.structure ~var:1)
+    in
     let scored =
+      (* unlimited: the plan charges [gov] itself *)
       account
-        (Access.Pattern_exec.scored_matches ~trace ~access:p.access ctx
-           p.structure ~struct_var:1 ~terms:p.terms ~weights:p.weights)
+        (fst
+           (Exec.Par.scored ~trace ~weights:p.weights ~anchors
+              ~limits:Core.Governor.unlimited ~access:p.access ~parallelism:1
+              ctx ~terms:p.terms))
     in
     let scored =
       stage "DocFilter" scored
@@ -338,7 +345,6 @@ let execute ?(limits = Core.Governor.unlimited)
       else
         stage "AnchorFilter" scored @@ fun scored ->
         (* the scored variable is the anchor itself *)
-        let anchors = Access.Pattern_exec.matches ctx p.structure ~var:1 in
         let keys = Hashtbl.create 64 in
         List.iter
           (fun (i : Store.Tag_index.item) ->

@@ -84,22 +84,21 @@ let load ?pool_pages ?verify ?generation path =
 
 type search_method = Termjoin | Enhanced | Genmeet | Comp1 | Comp2 | Auto
 
-let search_method_of_string = function
-  | "termjoin" -> Some Termjoin
-  | "enhanced" -> Some Enhanced
-  | "genmeet" -> Some Genmeet
-  | "comp1" -> Some Comp1
-  | "comp2" -> Some Comp2
-  | "auto" -> Some Auto
-  | _ -> None
+let search_methods = [ Termjoin; Enhanced; Genmeet; Comp1; Comp2; Auto ]
 
-let search_method_to_string = function
-  | Termjoin -> "termjoin"
-  | Enhanced -> "enhanced"
-  | Genmeet -> "genmeet"
-  | Comp1 -> "comp1"
-  | Comp2 -> "comp2"
-  | Auto -> "auto"
+let search_access = function
+  | Termjoin -> Some (Access.Pattern_exec.Term_join Access.Term_join.Plain)
+  | Enhanced -> Some (Access.Pattern_exec.Term_join Access.Term_join.Enhanced)
+  | Genmeet -> Some (Access.Pattern_exec.Gen_meet { use_skips = true })
+  | Comp1 -> Some Access.Pattern_exec.Comp1
+  | Comp2 -> Some Access.Pattern_exec.Comp2
+  | Auto -> None
+
+let search_method_to_string m =
+  match search_access m with Some a -> Exec.Par.wire_name a | None -> "auto"
+
+let search_method_of_string s =
+  List.find_opt (fun m -> search_method_to_string m = s) search_methods
 
 type request =
   | Query of { q : string; mode : [ `Auto | `Engine | `Interp ] }
@@ -120,6 +119,7 @@ type result = {
   total : int;
   cached : bool;
   plan : string option;
+  limit : int option;
   timings : (string * float) list;
   steps_used : int;
   trace : Core.Trace.span option;
@@ -211,7 +211,7 @@ let canonical_key = function
 
 type caches = {
   plans : (Query.Compile.plan, string) Stdlib.result Lru.t;
-  results : (row list * string list * int * string option) Lru.t;
+  results : result Lru.t;
 }
 
 (* Plan-cache keys fold the snapshot's feedback generation in front of
@@ -275,29 +275,6 @@ let compare_row a b =
   | c -> c
 
 let op_counter name = Metrics.counter ("op." ^ name)
-
-(* Mirror of the CLI's [governed] wrapper: access methods that are
-   not internally governed still pay for their output cardinality
-   and sample the deadline once. Returns the steps consumed alongside
-   the results. *)
-let governed limits f =
-  let gov = Core.Governor.start limits in
-  let results = f () in
-  let n = List.length results in
-  Core.Governor.tick_n gov n;
-  Core.Governor.check_results gov n;
-  Core.Governor.check_deadline gov;
-  (results, Core.Governor.steps gov)
-
-(* The parallel counterpart: one shared budget for every chunk of the
-   query; chunks tick their attached governors as they emit, so the
-   result cardinality is already accounted when the fan-in returns. *)
-let governed_parallel limits f =
-  let sh = Core.Governor.make_shared limits in
-  let results = f sh in
-  Core.Governor.shared_check_results sh (List.length results);
-  Core.Governor.shared_check_deadline sh;
-  (results, Core.Governor.shared_steps sh)
 
 let truncate k rows =
   match k with
@@ -519,7 +496,7 @@ let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
         Ok
           ( List.map (row_of_node snapshot) nodes,
             [],
-            Some (Query.Compile.explain plan),
+            Some plan,
             Core.Governor.steps gov )
       | Some dv ->
         begin
@@ -574,7 +551,7 @@ let exec_query ~caches ~limits ~tracer snapshot ~q ~mode =
           Ok
             ( rows,
               [],
-              Some (Query.Compile.explain plan),
+              Some plan,
               Core.Governor.steps gov )
         end
     in
@@ -672,48 +649,39 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
       | None -> None
   in
   match cached_result with
-  | Some (rows, trees, total, plan) ->
+  | Some r ->
     Metrics.incr (Metrics.counter "queries.result_cache_hits");
-    (* the plan text rides along in the cache so responses are
-       cache-transparent — distributed coordinators parse the plan's
-       row limit out of shard responses and must see it on hits too *)
-    Ok
-      {
-        rows;
-        trees;
-        total;
-        cached = true;
-        plan;
-        timings = [];
-        steps_used = 0;
-        trace = None;
-      }
+    (* the plan text and limit ride along in the cache so responses
+       are cache-transparent — distributed coordinators re-apply the
+       plan's row limit and must see it on hits too *)
+    Ok { r with cached = true; timings = []; steps_used = 0 }
   | None -> begin
-    let finish ~plan ~timings ~steps rows trees =
+    let finish ~plan ?limit ~timings ~steps rows trees =
       let total = List.length rows + List.length trees in
       let rows = truncate k rows in
       let trees = truncate k trees in
-      (match caches with
-      | Some c when not trace ->
-        Lru.add c.results result_key (rows, trees, total, plan)
-      | Some _ | None -> ());
       let dt = now () -. t0 in
       Metrics.observe_s (Metrics.histogram "query.total") dt;
-      let timings = timings @ [ ("total", dt) ] in
       let trace_span = Core.Trace.root tracer in
       Option.iter observe_spans trace_span;
       log_slow ~key:result_key ~dt trace_span;
-      Ok
+      let result =
         {
           rows;
           trees;
           total;
           cached = false;
           plan;
-          timings;
+          limit;
+          timings = timings @ [ ("total", dt) ];
           steps_used = steps;
           trace = trace_span;
         }
+      in
+      (match caches with
+      | Some c when not trace -> Lru.add c.results result_key result
+      | Some _ | None -> ());
+      Ok result
     in
     let ranked_rows nodes =
       List.sort Access.Scored_node.compare_score_desc nodes
@@ -758,8 +726,11 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
       match request with
       | Query { q; mode } -> begin
         match exec_query ~caches ~limits ~tracer snapshot ~q ~mode with
-        | Ok (rows, trees, plan, timings, steps) ->
-          finish ~plan ~timings ~steps rows trees
+        | Ok (rows, trees, compiled, timings, steps) ->
+          finish
+            ~plan:(Option.map Query.Compile.explain compiled)
+            ?limit:(Option.bind compiled (fun p -> p.Query.Compile.limit))
+            ~timings ~steps rows trees
         | Error e -> Error e
       end
       | Search { terms; method_; complex; anchor } ->
@@ -775,115 +746,50 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
              larger than requested — degraded when the estimated
              per-partition occupancy would not amortize fork/join.
              An anchor resolves to its base-catalog tag id so the
-             scoped-GenMeet candidate is priced too. *)
-          let decision =
-            match method_ with
-            | Auto ->
+             scoped-GenMeet candidate is priced too. The decision
+             runs exactly as chosen. *)
+          let decision, access, par =
+            match search_access method_ with
+            | Some access -> (None, access, par)
+            | None ->
               Metrics.incr (op_counter "auto");
               let anchor_tag =
                 Option.bind anchor
                   (Store.Catalog.tag_id (Store.Db.catalog snapshot.db))
               in
-              Some
-                (Query.Planner.choose ~feedback:snapshot.feedback
-                   ~key:(canonical_key request) ?anchor_tag ~parallelism:par
-                   ~stats:(Store.Db.collection_stats snapshot.db)
-                   ~index:(Store.Db.index snapshot.db) ~terms ())
-            | _ -> None
-          in
-          let method_, par =
-            match decision with
-            | None -> (method_, par)
-            | Some d ->
-              let m =
-                match d.Query.Planner.access with
-                | Access.Pattern_exec.Term_join Access.Term_join.Plain ->
-                  Termjoin
-                | Access.Pattern_exec.Term_join Access.Term_join.Enhanced ->
-                  Enhanced
-                | Access.Pattern_exec.Gen_meet _ -> Genmeet
-                | Access.Pattern_exec.Comp1 -> Comp1
-                | Access.Pattern_exec.Comp2 -> Comp2
+              let d =
+                Query.Planner.choose ~feedback:snapshot.feedback
+                  ~key:(canonical_key request) ?anchor_tag ~parallelism:par
+                  ~stats:(Store.Db.collection_stats snapshot.db)
+                  ~index:(Store.Db.index snapshot.db) ~terms ()
               in
-              (m, d.Query.Planner.parallelism)
+              (Some d, d.Query.Planner.access, d.Query.Planner.parallelism)
           in
-          Metrics.incr (op_counter (search_method_to_string method_));
-          (match method_ with
-          | (Termjoin | Enhanced | Genmeet) when par > 1 && anchor = None ->
-            Metrics.incr (Metrics.counter "queries.parallel")
-          | _ -> ());
+          Metrics.incr (op_counter (Exec.Par.wire_name access));
+          let degree =
+            Exec.Par.degree ~anchored:(anchor <> None) access ~parallelism:par
+          in
+          if degree > 1 then Metrics.incr (Metrics.counter "queries.parallel");
           let t0 = now () in
-          let access_of_method = function
-            | Termjoin -> Access.Pattern_exec.Term_join Access.Term_join.Plain
-            | Enhanced ->
-              Access.Pattern_exec.Term_join Access.Term_join.Enhanced
-            | Genmeet -> Access.Pattern_exec.Gen_meet { use_skips = true }
-            | Comp1 -> Access.Pattern_exec.Comp1
-            | Comp2 -> Access.Pattern_exec.Comp2
-            | Auto -> assert false (* resolved above *)
-          in
-          (* Anchored search: match the anchor elements as a trivial
-             one-variable pattern, run the method (GenMeet scoped to
-             the disjoint anchor subtrees), and keep only scored
-             nodes that are an anchor or lie inside one. The anchor
-             semi-join does not partition, so this path stays
-             sequential. Each context resolves the tag against its
-             own catalog — a tag only present in the delta still
-             anchors there. *)
-          let run_anchored tag_name ctx =
-            governed limits (fun () ->
-                match
-                  Store.Catalog.tag_id ctx.Access.Ctx.catalog tag_name
-                with
-                | None -> []
-                | Some _ ->
-                  let pat =
-                    Core.Pattern.make
-                      (Core.Pattern.pnode
-                         ~pred:(Core.Pattern.Tag tag_name) 0 [])
-                      []
-                  in
-                  Access.Pattern_exec.scored_matches ~trace:tracer ~mode
-                    ~access:(access_of_method method_) ctx pat ~struct_var:0
-                    ~terms)
-          in
-          let run_unanchored ctx =
-            match method_ with
-            | (Termjoin | Enhanced | Genmeet) when par > 1 ->
-              governed_parallel limits (fun shared ->
-                  match method_ with
-                  | Termjoin ->
-                    Exec.Par.term_join ~trace:tracer ~shared ~mode
-                      ~parallelism:par ctx ~terms
-                  | Enhanced ->
-                    Exec.Par.term_join ~trace:tracer ~shared
-                      ~variant:Access.Term_join.Enhanced ~mode
-                      ~parallelism:par ctx ~terms
-                  | _ ->
-                    Exec.Par.gen_meet ~trace:tracer ~shared ~mode
-                      ~parallelism:par ctx ~terms)
-            | _ ->
-              (* the composite baselines materialize candidate sets and
-                 stay sequential *)
-              governed limits (fun () ->
-                  match method_ with
-                  | Termjoin ->
-                    Access.Term_join.to_list ~trace:tracer ~mode ctx ~terms
-                  | Enhanced ->
-                    Access.Term_join.to_list ~trace:tracer
-                      ~variant:Access.Term_join.Enhanced ~mode ctx ~terms
-                  | Genmeet ->
-                    Access.Gen_meet.to_list ~trace:tracer ~mode ctx ~terms
-                  | Comp1 ->
-                    Access.Composite.comp1_list ~trace:tracer ~mode ctx ~terms
-                  | Comp2 ->
-                    Access.Composite.comp2_list ~trace:tracer ~mode ctx ~terms
-                  | Auto -> assert false (* resolved above *))
-          in
+          (* Anchored search scores inside the anchor elements. Each
+             context resolves the tag against its own catalog — a tag
+             only present in the delta still anchors there. *)
           let run ctx =
             match anchor with
-            | Some tag_name -> run_anchored tag_name ctx
-            | None -> run_unanchored ctx
+            | None ->
+              Exec.Par.scored ~trace:tracer ~mode ~limits ~access
+                ~parallelism:par ctx ~terms
+            | Some tag_name -> (
+              match Store.Catalog.tag_id ctx.Access.Ctx.catalog tag_name with
+              | None -> ([], 0)
+              | Some _ ->
+                let anchors =
+                  Core.Trace.span_list tracer "PatternMatch" (fun () ->
+                      Access.Pattern_exec.candidates ctx
+                        (Core.Pattern.Tag tag_name))
+                in
+                Exec.Par.scored ~trace:tracer ~mode ~anchors ~limits ~access
+                  ~parallelism:par ctx ~terms)
           in
           let rows, steps = merged_node_rows ~run in
           (match decision with
@@ -915,21 +821,12 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
         | [] -> Error (Bad_request "empty phrase")
         | words ->
           Metrics.incr (op_counter (if comp3 then "comp3" else "phrase_finder"));
-          if (not comp3) && par > 1 then
+          if Exec.Par.phrase_degree ~comp3 ~parallelism:par > 1 then
             Metrics.incr (Metrics.counter "queries.parallel");
           let t0 = now () in
           let run ctx =
-            if (not comp3) && par > 1 then
-              governed_parallel limits (fun shared ->
-                  Exec.Par.phrase ~trace:tracer ~shared ~parallelism:par ctx
-                    ~phrase:words)
-            else
-              governed limits (fun () ->
-                  if comp3 then
-                    Access.Composite.comp3_list ~trace:tracer ctx ~phrase:words
-                  else
-                    Access.Phrase_finder.to_list ~trace:tracer ctx
-                      ~phrase:words)
+            Exec.Par.scored_phrase ~trace:tracer ~limits ~comp3
+              ~parallelism:par ctx ~phrase:words
           in
           let rows, steps = merged_node_rows ~run in
           let dt = now () -. t0 in
@@ -958,20 +855,8 @@ let exec ?caches ?(limits = Core.Governor.unlimited) ?k ?theta ?(trace = false)
           if par > 1 then Metrics.incr (Metrics.counter "queries.parallel");
           let t0 = now () in
           let run ctx ~k =
-            if par > 1 then
-              governed_parallel limits (fun shared ->
-                  Exec.Par.top_k_docs ~trace:tracer ~shared ?theta
-                    ~parallelism:par ctx ~terms ~k)
-            else
-              governed limits (fun () ->
-                  (* a θ hint seeds the same shared threshold the
-                     parallel chunks use; pruning against it is exact
-                     under the monotone-θ invariant (Core.Merge) *)
-                  let shared_threshold =
-                    Option.map (fun seed -> Core.Merge.Theta.make ~seed ()) theta
-                  in
-                  Access.Ranked.top_k_docs ~trace:tracer ?shared_threshold ctx
-                    ~terms ~k)
+            Exec.Par.ranked ~trace:tracer ?theta ~limits ~parallelism:par ctx
+              ~terms ~k
           in
           let doc_row catalog remap (doc, score) =
             let tag =

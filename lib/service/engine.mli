@@ -78,13 +78,19 @@ val fault_stats : snapshot -> Store.Fault.injection_stats option
 
 type search_method = Termjoin | Enhanced | Genmeet | Comp1 | Comp2 | Auto
 
+val search_methods : search_method list
+(** Every method, [Auto] last. *)
+
+val search_access : search_method -> Access.Pattern_exec.access option
+(** The access method a request names; [None] for [Auto]. *)
+
 val search_method_of_string : string -> search_method option
 val search_method_to_string : search_method -> string
-(** [Auto] ("auto") resolves at execution time through
+(** Wire names. [Auto] resolves at execution time through
     {!Query.Planner.choose}: the cheapest method by estimated cost,
     with the requested parallelism degraded when the estimated
-    per-partition occupancy is too low. The resolved method is
-    recorded in the result's [plan] field and the [op.*] counters. *)
+    per-partition occupancy is too low. The decision runs exactly as
+    chosen and is recorded in [plan] and the [op.*] counters. *)
 
 type request =
   | Query of { q : string; mode : [ `Auto | `Engine | `Interp ] }
@@ -125,6 +131,9 @@ type result = {
   total : int;  (** result count before [k]-truncation *)
   cached : bool;
   plan : string option;  (** explain output of the compiled plan *)
+  limit : int option;
+      (** the compiled plan's [stop after] row limit; a distributed
+          coordinator re-applies it to the gathered shard rows *)
   timings : (string * float) list;  (** stage -> seconds, in order *)
   steps_used : int;
       (** governor steps the execution consumed (0 for cache hits);
@@ -158,7 +167,7 @@ type caches = {
       (** keyed by {!plan_cache_key}; [Error reason] caches the
           negative compile so the fallback decision is also cached.
           Cached plans are costed ({!Query.Compile.plan_with_stats}) *)
-  results : (row list * string list * int * string option) Lru.t;
+  results : result Lru.t;  (** [k]-truncated, never traced *)
 }
 
 val plan_cache_key : snapshot -> string -> string

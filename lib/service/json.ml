@@ -28,14 +28,22 @@ let add_escaped buf s =
     s;
   Buffer.add_char buf '"'
 
+(* [Printf]'s [%g] primitive, without re-reading the format per float *)
+external format_float : string -> float -> string = "caml_format_float"
+
+(* Finite floats print in the shortest of [%.15g] / [%.17g] that reads
+   back as the same float: a merge that re-sorts decoded scores (the
+   distributed coordinator) must see exactly the ties the shard saw. *)
 let add_float buf f =
-  if Float.is_nan f || Float.is_integer f && Float.abs f > 1e15 then
-    Buffer.add_string buf "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then Buffer.add_string buf "null"
+  else begin
+    let s = format_float "%.15g" f in
+    let s = if float_of_string s = f then s else format_float "%.17g" f in
+    Buffer.add_string buf s;
     (* integral floats keep a ".0" so they round-trip as Float *)
-    Buffer.add_string buf (Printf.sprintf "%.1f" f)
-  else if Float.abs f = Float.infinity then Buffer.add_string buf "null"
-  else Buffer.add_string buf (Printf.sprintf "%.12g" f)
+    if String.for_all (function '-' | '0' .. '9' -> true | _ -> false) s then
+      Buffer.add_string buf ".0"
+  end
 
 let rec to_buffer buf = function
   | Null -> Buffer.add_string buf "null"

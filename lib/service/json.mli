@@ -2,8 +2,9 @@
 
     The toolchain image carries no JSON library, so the service
     brings its own: a value type, a deterministic encoder (object
-    fields are emitted in construction order, floats printed with
-    ["%.12g"]), and a recursive-descent parser. Deterministic
+    fields are emitted in construction order, finite floats printed
+    in the shortest form that parses back to the same float), and a
+    recursive-descent parser. Deterministic
     encoding is load-bearing: the multi-domain stress test compares
     encoded responses byte for byte. *)
 

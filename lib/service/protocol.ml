@@ -312,6 +312,9 @@ let result_to_json ?(include_timings = true) ?(extra = []) (r : Engine.result) =
     else [ ("trees", Json.List (List.map (fun t -> Json.String t) r.trees)) ]
   in
   let plan = match r.plan with Some p -> [ ("plan", Json.String p) ] | None -> [] in
+  let limit =
+    match r.limit with Some l -> [ ("limit", Json.Int l) ] | None -> []
+  in
   let timings =
     if include_timings && r.timings <> [] then
       [
@@ -325,7 +328,7 @@ let result_to_json ?(include_timings = true) ?(extra = []) (r : Engine.result) =
     | Some sp -> [ ("trace", span_to_json sp) ]
     | None -> []
   in
-  Json.Obj (base @ trees @ plan @ timings @ trace)
+  Json.Obj (base @ trees @ plan @ limit @ timings @ trace)
 
 let ok_plan_to_json plan =
   Json.Obj [ ("ok", Json.Bool true); ("plan", Json.String plan) ]

@@ -75,7 +75,8 @@ val request_to_json : request -> Json.t
 
 val result_to_json :
   ?include_timings:bool -> ?extra:(string * Json.t) list -> Engine.result -> Json.t
-(** [{"ok":true,"total":n,"cached":b,"steps_used":s,"results":[...],...}].
+(** [{"ok":true,"total":n,"cached":b,"steps_used":s,"results":[...],...}],
+    plus ["plan"] and the plan's row ["limit"] when present.
     Timings default to included; the stress test compares responses
     with timings stripped. [extra] appends caller fields (the
     distributed coordinator adds ["degraded"]/["shards"]). *)

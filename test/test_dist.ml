@@ -259,6 +259,8 @@ let family_requests =
     {|{"op":"search","terms":["pxone","pxtwo"],"complex":true,"k":12}|};
     {|{"op":"search","terms":["pxone","pxtwo"],"method":"enhanced","k":7}|};
     {|{"op":"search","terms":["pxone","pxtwo"],"method":"genmeet","k":7}|};
+    (* ranks 18 and 19 differ only past the 12th significant digit *)
+    {|{"op":"search","terms":["pxpa","pxtwo"],"complex":true,"k":20}|};
     {|{"op":"phrase","phrase":"pxpa pxpb"}|};
     {|{"op":"phrase","phrase":"pxpa pxpb","comp3":true,"k":4}|};
     Printf.sprintf {|{"op":"query","q":%s,"k":6}|} (quote engine_query);

@@ -82,32 +82,88 @@ let test_partition_invariants () =
     (Exec.Partition.plan ctx ~terms:[ "nosuchterm" ] ~chunks:4 <> [])
 
 (* ------------------------------------------------------------------ *)
-(* Determinism under the planner's chunking, 2 and 4 domains *)
+(* Dispatch and determinism under the planner's chunking, 1/2/4 domains *)
 
+(* Every method the planner can return, called directly: the oracle
+   the dispatch entry must reproduce whatever form it picks. *)
+let methods =
+  [
+    Access.Pattern_exec.Term_join Access.Term_join.Plain;
+    Access.Pattern_exec.Term_join Access.Term_join.Enhanced;
+    Access.Pattern_exec.Gen_meet { use_skips = true };
+    Access.Pattern_exec.Gen_meet { use_skips = false };
+    Access.Pattern_exec.Comp1;
+    Access.Pattern_exec.Comp2;
+  ]
+
+let direct ~mode ctx (access : Access.Pattern_exec.access) =
+  match access with
+  | Term_join variant -> Access.Term_join.to_list ~variant ~mode ctx ~terms
+  | Gen_meet { use_skips } ->
+    Access.Gen_meet.to_list ~use_skips ~mode ctx ~terms
+  | Comp1 -> Access.Composite.comp1_list ~mode ctx ~terms
+  | Comp2 -> Access.Composite.comp2_list ~mode ctx ~terms
+
+(* Exec.Par.scored over every method, both scorers, sequential and
+   fanned out, unanchored and anchored (the oracle restricted to nodes
+   inside a section), and under a step budget that must trip once. *)
 let test_parallel_matches_sequential () =
   let ctx = Lazy.force ctx in
-  let complex = Access.Counter_scoring.Complex in
+  let anchors =
+    Access.Pattern_exec.matches ctx
+      (Core.Pattern.make
+         (Core.Pattern.pnode ~pred:(Core.Pattern.Tag "section") 0 [])
+         [])
+      ~var:0
+  in
+  let inside (n : Access.Scored_node.t) =
+    List.exists
+      (fun (a : Store.Tag_index.item) ->
+        a.doc = n.doc && a.start <= n.start && n.end_ <= a.end_)
+      anchors
+  in
   List.iter
     (fun parallelism ->
       let p = string_of_int parallelism in
-      same_nodes ("term_join/" ^ p)
-        (Access.Term_join.to_list ctx ~terms)
-        (Exec.Par.term_join ~parallelism ctx ~terms);
-      same_nodes
-        ("term_join-complex/" ^ p)
-        (Access.Term_join.to_list ~mode:complex ctx ~terms)
-        (Exec.Par.term_join ~mode:complex ~parallelism ctx ~terms);
-      same_nodes ("enhanced/" ^ p)
-        (Access.Term_join.to_list ~variant:Access.Term_join.Enhanced
-           ~mode:complex ctx ~terms)
-        (Exec.Par.term_join ~variant:Access.Term_join.Enhanced ~mode:complex
-           ~parallelism ctx ~terms);
-      same_nodes ("gen_meet/" ^ p)
-        (Access.Gen_meet.to_list ctx ~terms)
-        (Exec.Par.gen_meet ~parallelism ctx ~terms);
-      same_nodes ("phrase/" ^ p)
-        (Access.Phrase_finder.to_list ctx ~phrase)
-        (Exec.Par.phrase ~parallelism ctx ~phrase);
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun access ->
+              let all = direct ~mode ctx access in
+              check bool_ "anchors select" true
+                (List.exists inside all && not (List.for_all inside all));
+              List.iter
+                (fun (anchors, expected) ->
+                  let name =
+                    Printf.sprintf "%s/%s/%s/anchored=%b"
+                      (Access.Pattern_exec.access_to_string access)
+                      (if mode = Access.Counter_scoring.Simple then "simple"
+                       else "complex")
+                      p (anchors <> None)
+                  in
+                  let scored limits =
+                    fst
+                      (Exec.Par.scored ?anchors ~mode ~limits ~access
+                         ~parallelism ctx ~terms)
+                  in
+                  same_nodes name expected (scored Core.Governor.unlimited);
+                  match scored (Core.Governor.limits ~max_steps:3 ()) with
+                  | _ -> Alcotest.failf "%s: 3-step budget not enforced" name
+                  | exception Core.Governor.Resource_exhausted v ->
+                    check bool_ (name ^ ": steps violation") true
+                      (v.Core.Governor.reason = Core.Governor.Steps))
+                [ (None, all); (Some anchors, List.filter inside all) ])
+            methods)
+        [ Access.Counter_scoring.Simple; Access.Counter_scoring.Complex ];
+      List.iter
+        (fun comp3 ->
+          same_nodes
+            (Printf.sprintf "phrase comp3=%b/%s" comp3 p)
+            (Access.Phrase_finder.to_list ctx ~phrase)
+            (fst
+               (Exec.Par.scored_phrase ~limits:Core.Governor.unlimited ~comp3
+                  ~parallelism ctx ~phrase)))
+        [ false; true ];
       List.iter
         (fun k ->
           same_docs
@@ -115,7 +171,7 @@ let test_parallel_matches_sequential () =
             (Access.Ranked.top_k_docs ctx ~terms ~k)
             (Exec.Par.top_k_docs ~parallelism ctx ~terms ~k))
         [ 1; 3; 10; 1000 ])
-    [ 2; 4 ]
+    [ 1; 2; 4 ]
 
 (* ties at the k-th rank: every planted occurrence of a term scores
    identically in many documents, so doc-id tie-breaking decides the

@@ -144,9 +144,12 @@ let test_three_paths_agree () =
       []
   in
   let scored =
-    Access.Pattern_exec.scored_matches ctx pattern ~struct_var:1
-      ~terms:[ "integalpha"; "integbeta" ]
-      ~weights:[| 0.8; 0.6 |]
+    Exec.Par.scored
+      ~anchors:(Access.Pattern_exec.matches ctx pattern ~var:1)
+      ~weights:[| 0.8; 0.6 |] ~limits:Core.Governor.unlimited
+      ~access:(Access.Pattern_exec.Term_join Access.Term_join.Plain)
+      ~parallelism:1 ctx ~terms:[ "integalpha"; "integbeta" ]
+    |> fst
     |> List.filter (fun (n : Access.Scored_node.t) -> n.score > 0.)
   in
   let manual_scores =

@@ -73,7 +73,8 @@ let same_results name expected actual =
     e a
 
 (* ------------------------------------------------------------------ *)
-(* Every access method the planner can pick, runnable directly *)
+(* Every access method the planner can pick, run through the dispatch
+   entry exactly as named *)
 
 let methods =
   [
@@ -86,14 +87,9 @@ let methods =
   ]
 
 let run_access ctx access ~terms =
-  let mode = Access.Counter_scoring.Simple in
-  match access with
-  | Access.Pattern_exec.Term_join variant ->
-    Access.Term_join.to_list ~variant ~mode ctx ~terms
-  | Access.Pattern_exec.Gen_meet { use_skips } ->
-    Access.Gen_meet.to_list ~use_skips ~mode ctx ~terms
-  | Access.Pattern_exec.Comp1 -> Access.Composite.comp1_list ~mode ctx ~terms
-  | Access.Pattern_exec.Comp2 -> Access.Composite.comp2_list ~mode ctx ~terms
+  fst
+    (Exec.Par.scored ~limits:Core.Governor.unlimited ~access ~parallelism:1 ctx
+       ~terms)
 
 (* one untimed warmup, then the median of three runs — the oracle is
    a measurement, so it gets the bench harness's noise discipline *)

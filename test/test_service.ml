@@ -67,6 +67,13 @@ let test_json_roundtrip () =
   | Ok v' -> check bool_ "roundtrip" true (v = v')
   | Error e -> Alcotest.failf "parse: %s" e
 
+(* a coordinator re-sorting decoded scores must see the shard's ties *)
+let test_json_float_roundtrip =
+  QCheck.Test.make ~count:2000 ~name:"finite floats round-trip exactly"
+    QCheck.float (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Service.Json.(parse (to_string (Float f))) = Ok (Service.Json.Float f))
+
 let test_json_parse_basics () =
   let ok s v =
     match Service.Json.parse s with
@@ -340,7 +347,10 @@ let test_engine_query_compiles () =
   | Error e -> Alcotest.failf "exec: %s" (Service.Engine.error_message e)
   | Ok result ->
     check bool_ "has plan" true (result.Service.Engine.plan <> None);
-    check bool_ "has rows" true (result.Service.Engine.rows <> [])
+    check bool_ "has rows" true (result.Service.Engine.rows <> []);
+    check bool_ "stop after 10 -> limit 10 on the wire" true
+      (Service.Json.member "limit" (Service.Protocol.result_to_json result)
+      = Some (Service.Json.Int 10))
 
 let test_engine_bad_requests () =
   (match exec (Service.Engine.Search { terms = []; method_ = Service.Engine.Termjoin; complex = false; anchor = None }) with
@@ -1086,6 +1096,7 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse basics" `Quick test_json_parse_basics;
           Alcotest.test_case "escapes" `Quick test_json_escaped_output_parses;
+          QCheck_alcotest.to_alcotest test_json_float_roundtrip;
         ] );
       ( "lru",
         [
